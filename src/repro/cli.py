@@ -124,20 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="detector to replay under (default: our)")
     an.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes (default 1 = serial replay)")
-    an.add_argument("--dispatch", choices=("queue", "file"),
-                    default="queue",
-                    help="parallel fan-out: batched bounded queues "
-                         "(default) or per-worker file re-reads")
-    an.add_argument("--batch-size", type=int, default=512, metavar="B",
-                    help="events per queue batch (default 512)")
     an.add_argument("--timeout", type=float, default=None, metavar="SEC",
                     help="seconds without a worker heartbeat before it "
                          "counts as stalled and is replaced (default: "
                          "crash detection only)")
     an.add_argument("--retries", type=int, default=2, metavar="R",
                     help="re-runs of a dead worker's shard-group before "
-                         "degrading to serial replay (default 2; file "
-                         "dispatch only)")
+                         "degrading to serial replay (default 2)")
     an.add_argument("--salvage", action="store_true",
                     help="best-effort read of damaged traces: quarantine "
                          "corrupt/truncated chunks instead of aborting, "
@@ -582,7 +575,6 @@ def _analyze(args) -> int:
     try:
         result = analyze_trace(
             args.trace, detector=args.detector, jobs=args.jobs,
-            dispatch=args.dispatch, batch_size=args.batch_size,
             timeout=args.timeout, retries=args.retries,
             salvage=args.salvage,
             ckpt_dir=ckpt_dir, ckpt_every=args.ckpt_every,
@@ -643,8 +635,6 @@ def _analyze(args) -> int:
             print(f"  shard {stats.shard}: {stats.events} events, "
                   f"peak {stats.peak_nodes} BST nodes, "
                   f"{stats.races} race(s)")
-        if any(result.queue_peak):
-            print(f"  queue depth peaks: {result.queue_peak}")
     if result.failed_workers:
         for failure in result.failed_workers:
             print(f"  worker {failure['worker']} {failure['reason']} "

@@ -16,7 +16,7 @@ Quickstart::
     from repro.pipeline import analyze_trace
 
     plan = FaultPlan(actions=(KillWorker(worker=1, after_batches=2),))
-    result = analyze_trace("mv.trace", jobs=4, dispatch="file",
+    result = analyze_trace("mv.trace", jobs=4,
                            fault_plan=plan)      # retried, full verdicts
 
     flip_bytes("mv.trace", chunk=3, seed=7)

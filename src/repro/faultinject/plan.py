@@ -3,12 +3,11 @@
 A :class:`FaultPlan` is a picklable bundle of *actions* handed to
 ``analyze_trace(fault_plan=...)``.  The engine forwards the plan to
 every worker process, and each worker calls :meth:`FaultPlan.fire`
-after every dispatch tick (a drained batch in queue dispatch, a
-dispatched own-shard event in file dispatch).  An action fires when its
-``worker``, ``after_batches`` tick and ``attempt`` all match — and
-because replay is deterministic, so is the fault: the same plan against
-the same trace kills or stalls the same worker at the same point every
-run.
+after every dispatch tick (one dispatched own-shard event).  An action
+fires when its ``worker``, ``after_batches`` tick and ``attempt`` all
+match — and because replay is deterministic, so is the fault: the same
+plan against the same trace kills or stalls the same worker at the same
+point every run.
 
 ``attempt`` selects which run attempt of the worker a fault hits:
 ``0`` (the default) faults only the first attempt, so a supervised

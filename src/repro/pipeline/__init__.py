@@ -11,7 +11,8 @@ subsystem exploits end to end:
 * :mod:`repro.pipeline.shard` — event routing by memory rank, with sync
   events replicated so every shard sees the full ordering skeleton,
 * :mod:`repro.pipeline.engine` — the multiprocessing worker pool
-  (batched dispatch, bounded queues) and the deterministic aggregator,
+  (each worker reads the trace file itself and keeps its own shards'
+  events) and the deterministic aggregator,
 * :mod:`repro.pipeline.resilience` — worker supervision: heartbeats,
   stall timeouts, crash detection, and the retry/degrade machinery
   that keeps a crashed or wedged worker from sinking the analysis,

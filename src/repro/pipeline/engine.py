@@ -1,37 +1,31 @@
-"""The sharded analysis engine: worker pool, batching, aggregation.
+"""The sharded analysis engine: worker pool and aggregation.
 
 ``analyze_trace`` is the one entry point.  With ``jobs=1`` it replays
 the trace through a single detector in-process (the baseline every
 speedup is measured against); with ``jobs>1`` it runs the sharded
-pipeline:
+pipeline over a path-backed trace:
 
-* the **producer** (parent process) streams events off the trace,
-  routes each to its shard(s) (:func:`repro.pipeline.shard.shards_of`),
-  and ships them in batches over one *bounded* queue per worker — a slow
-  worker back-pressures the producer instead of ballooning memory;
 * each **worker** owns ``nranks / jobs`` shards, one fresh detector
-  instance per shard, and dispatches its batches in arrival order
-  (which is global trace order, so per-shard analysis is deterministic);
+  instance per shard; it streams the trace file itself and keeps only
+  the events its shards route to (:func:`repro.pipeline.shard.shards_of`),
+  in global trace order, so per-shard analysis is deterministic and no
+  events cross a process boundary;
+* the **parent** counts the trace's events once (the throughput
+  metric) and supervises the workers;
 * the **aggregator** collects per-shard verdicts, drops replica-side
   reports (:func:`repro.pipeline.shard.own_reports` runs in the worker),
   deduplicates, and produces one canonically ordered verdict list plus
-  pipeline metrics (events/s, per-shard BST peaks, queue depths).
-
-``dispatch="file"`` is an alternative fan-out for on-disk traces: every
-worker streams the file itself and keeps only its shards' events.  The
-producer then ships nothing at all — on machines where decode is cheap
-relative to detector work this trades duplicated decoding for zero IPC.
+  pipeline metrics (events/s, per-shard BST peaks).
 
 The engine is *supervised* (see :mod:`repro.pipeline.resilience`):
 workers heartbeat on the result queue, every wait is bounded, and a
-crashed or wedged worker is detected rather than hung on.  In file
-dispatch the dead worker's shard-group is re-run with capped
-exponential backoff (replay is deterministic, so retried verdicts are
-byte-identical); once ``retries`` is exhausted — or immediately in
-queue dispatch, whose in-flight batches die with the worker — the
-engine *degrades* to serial in-process replay of the missing shards
-and flags the result ``degraded`` instead of failing the whole
-analysis.  ``salvage=True`` additionally reads damaged traces
+crashed or wedged worker is detected rather than hung on.  The dead
+worker's shard-group is re-run with capped exponential backoff (replay
+is deterministic, so retried verdicts are byte-identical; with a
+checkpoint directory the retry resumes mid-trace); once ``retries`` is
+exhausted the engine *degrades* to serial in-process replay of the
+missing shards and flags the result ``degraded`` instead of failing
+the whole analysis.  ``salvage=True`` additionally reads damaged traces
 best-effort (:class:`TraceReader` ``strict=False``), with the loss
 accounted in ``PipelineResult.salvage``.
 
@@ -48,7 +42,6 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-import queue as _queue
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -58,7 +51,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 from .. import obs
 from ..core.report import RaceReport
 from ..mpi.errors import TraceChainMismatch, WorkerCrashedError
-from ..mpi.trace import TraceEvent, TraceLog
+from ..mpi.trace import TraceEvent
 from ..mpi.trace_io import LoadedTrace, _access_to_dict
 from . import checkpoint as _ckpt
 from .checkpoint import (
@@ -74,7 +67,7 @@ from .resilience import (
     collect_results,
     reap_processes,
 )
-from .shard import dispatch_batch, dispatch_event, own_reports, shards_of
+from .shard import dispatch_batch, own_reports, shards_of
 
 __all__ = [
     "DETECTOR_SPECS",
@@ -227,13 +220,13 @@ class PipelineResult:
     detector: str
     nranks: int
     jobs: int
+    #: "serial" (jobs=1) or "file" (workers read the trace themselves)
     dispatch: str
     events_total: int
     wall_seconds: float
     verdicts: List[dict]
     shard_stats: List[ShardStats]
-    queue_peak: List[int] = field(default_factory=list)
-    #: worker respawns the supervisor performed (file-dispatch retries)
+    #: worker respawns the supervisor performed (retries)
     retries: int = 0
     #: True when some shard-groups fell back to serial in-process replay
     degraded: bool = False
@@ -305,7 +298,6 @@ class PipelineResult:
             "races": self.races,
             "verdicts": self.verdicts,
             "shards": [s.to_dict() for s in self.shard_stats],
-            "queue_peak": self.queue_peak,
             "retries": self.retries,
             "degraded": self.degraded,
             "failed_workers": list(self.failed_workers),
@@ -531,33 +523,9 @@ def _payload_stats(payload) -> list:
     return payload
 
 
-def _worker_queue(worker_id, shards, detector, nranks, in_q, out_q,
-                  attempt=0, fault_plan=None):
-    """Queue-dispatch worker: drain (shard, batch) items until sentinel."""
-    reg = obs.reset()  # fork copied the parent's registry: start clean
-    group = _ShardGroup(shards, detector, nranks)
-    ticks = 0
-    last_hb = time.monotonic()
-    while True:
-        item = in_q.get()
-        if item is None:
-            break
-        shard, batch = item
-        with reg.span("worker.analyze"):
-            group.dispatch(shard, batch)
-        ticks += 1
-        if fault_plan is not None:
-            fault_plan.fire(worker_id, attempt, ticks)
-        now = time.monotonic()
-        if now - last_hb >= HEARTBEAT_INTERVAL:
-            out_q.put(("hb", worker_id, attempt, ticks))
-            last_hb = now
-    out_q.put(("done", worker_id, attempt, _worker_payload(group, attempt)))
-
-
 def _worker_file(worker_id, shards, detector, nranks, path, out_q,
                  attempt=0, fault_plan=None, strict=True, ckpt=None):
-    """File-dispatch worker: stream the trace itself, keep own shards.
+    """Worker process: stream the trace itself, keep own shards.
 
     With a :class:`~repro.pipeline.checkpoint.CheckpointPlan`, the
     worker iterates the trace *chunk-wise* and at chunk boundaries (the
@@ -970,9 +938,7 @@ def analyze_trace(
     *,
     detector: str = "our",
     jobs: int = 1,
-    dispatch: str = "queue",
-    batch_size: int = 512,
-    queue_depth: int = 8,
+    dispatch: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 2,
     backoff_base: float = 0.1,
@@ -999,7 +965,6 @@ def analyze_trace(
         with reg.span("pipeline.analyze"):
             result = _analyze_impl(
                 source, detector=detector, jobs=jobs, dispatch=dispatch,
-                batch_size=batch_size, queue_depth=queue_depth,
                 timeout=timeout, retries=retries,
                 backoff_base=backoff_base, backoff_max=backoff_max,
                 salvage=salvage, recover=recover, fault_plan=fault_plan,
@@ -1024,9 +989,7 @@ def _analyze_impl(
     *,
     detector: str = "our",
     jobs: int = 1,
-    dispatch: str = "queue",
-    batch_size: int = 512,
-    queue_depth: int = 8,
+    dispatch: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 2,
     backoff_base: float = 0.1,
@@ -1045,15 +1008,18 @@ def _analyze_impl(
     """Analyze a recorded trace, optionally sharded over ``jobs`` processes.
 
     ``source`` may be a path (either trace format, auto-detected), an
-    open :class:`TraceReader`, or an in-memory :class:`LoadedTrace`.
-    ``dispatch="file"`` requires a path-backed source.
+    open :class:`TraceReader`, or an in-memory :class:`LoadedTrace`;
+    ``jobs>1`` requires a path-backed source, since every worker reads
+    the trace file itself.  ``dispatch`` is accepted for compatibility:
+    ``"file"`` (the only multi-process path) selects nothing, any other
+    value is rejected.
 
     Resilience knobs:
 
     * ``timeout`` — seconds without a heartbeat before a worker counts
       as stalled and is terminated (``None``: crash detection only);
     * ``retries`` — how many times a dead worker's shard-group may be
-      re-run (file dispatch) before degrading to serial replay;
+      re-run before degrading to serial replay;
     * ``backoff_base`` / ``backoff_max`` — capped exponential delay
       between retry rounds;
     * ``salvage`` — read damaged traces best-effort, quarantining
@@ -1086,10 +1052,13 @@ def _analyze_impl(
     * ``follow_timeout_s`` — stop a follow that has seen no new chunk
       for this many seconds, as a partial, resumable result.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if dispatch not in ("queue", "file"):
-        raise ValueError(f"unknown dispatch mode {dispatch!r}")
+    if dispatch not in (None, "file"):
+        raise ValueError(
+            f"unknown dispatch mode {dispatch!r}: queue dispatch was "
+            "removed; jobs>1 always has each worker read the trace file "
+            "(dispatch='file' is still accepted and selects nothing)")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if timeout is not None and timeout <= 0:
@@ -1134,19 +1103,15 @@ def _analyze_impl(
                 "corruption")
         if salvage:
             raise ValueError("follow requires a strict reader")
-    jobs = max(1, min(jobs, nranks))
+    jobs = min(jobs, nranks)
     if jobs == 1:
         if plan is not None:
             return _serial_ckpt(events, nranks, detector, reader, plan, path,
                                 follow=follow,
                                 follow_timeout_s=follow_timeout_s)
         return _serial(events, nranks, detector, reader=reader)
-    if plan is not None and dispatch != "file":
-        raise ValueError(
-            "checkpointing with jobs>1 requires dispatch='file' — queue "
-            "batches die with their worker and cannot be replayed")
-    if dispatch == "file" and path is None:
-        raise ValueError("dispatch='file' needs a path-backed trace source")
+    if path is None:
+        raise ValueError("jobs>1 needs a path-backed trace source")
     _make_detector(detector)  # validate the name before forking
 
     ctx = _mp_context()
@@ -1154,7 +1119,6 @@ def _analyze_impl(
     reg = obs.active()
     worker_shards = [list(range(w, nranks, jobs)) for w in range(jobs)]
     all_procs: List = []          # every process ever spawned, for cleanup
-    in_qs: List = []
     failures_all: List[WorkerFailure] = []
     #: per-worker attempt counter — retries *and* recycles bump it, and
     #: collect_results drops any message tagged with an older attempt
@@ -1164,14 +1128,13 @@ def _analyze_impl(
     recycle_spawns = 0
     recycle_ckpt_written = 0
     recycle_quarantined: List[str] = []
-    clean_exit = False
     t0 = time.perf_counter()
 
-    def _spawn(target, args_tail, worker):
+    def _spawn(worker):
         proc = ctx.Process(
-            target=target,
-            args=(worker, worker_shards[worker], detector, nranks,
-                  *args_tail),
+            target=_worker_file,
+            args=(worker, worker_shards[worker], detector, nranks, path,
+                  out_q, attempts[worker], fault_plan, not salvage, plan),
             daemon=True,
         )
         all_procs.append(proc)
@@ -1179,178 +1142,84 @@ def _analyze_impl(
         return proc
 
     try:
-        if dispatch == "file":
-            procs = {
-                w: _spawn(_worker_file,
-                          (path, out_q, 0, fault_plan, not salvage, plan), w)
-                for w in range(jobs)
-            }
-            # count events once in the parent for the throughput metric
-            with reg.span("pipeline.read"):
-                events_total = sum(1 for _ in events)
-            reg.counter("pipeline.events.read").add(events_total)
+        procs = {w: _spawn(w) for w in range(jobs)}
+        # count events once in the parent for the throughput metric
+        with reg.span("pipeline.read"):
+            events_total = sum(1 for _ in events)
+        reg.counter("pipeline.events.read").add(events_total)
+        with reg.span("pipeline.collect"):
+            outcome = collect_results(out_q, procs, worker_shards,
+                                      timeout=timeout, attempts=attempts)
+        payloads = outcome.payloads
+        partial_workers.update(outcome.partial_workers)
+        failures = outcome.failures
+        recycled = outcome.recycled
+        failures_all.extend(failures)
+        if failures and not recover:
+            first = failures[0]
+            raise WorkerCrashedError(
+                first.worker, first.shards,
+                reason=first.reason, exitcode=first.exitcode,
+            )
+        # Supervision loop: retried workers (with a checkpoint plan they
+        # resume from their lane's newest checkpoint instead of replaying
+        # from byte 0) consume the retry budget; recycled workers (memory
+        # guard) are respawned for free — their exit was voluntary,
+        # checkpointed progress, not a failure.
+        rnd = 0
+        recycles_by_worker: Dict[int, int] = {}
+        exhausted: List[WorkerFailure] = []
+        while failures or recycled:
+            if failures and rnd >= retries:
+                break
+            respawn: set = set()
+            if failures:
+                rnd += 1
+                retry_spawns += len(failures)
+                reg.counter("pipeline.retries").add(len(failures))
+                with reg.span("pipeline.retry"):
+                    time.sleep(backoff_delay(rnd, base=backoff_base,
+                                             cap=backoff_max))
+                respawn.update(f.worker for f in failures)
+            for rec in recycled:
+                w = rec["worker"]
+                info = (rec["info"] or {}).get("ckpt") or {}
+                recycle_ckpt_written += info.get("written", 0)
+                recycle_quarantined.extend(info.get("quarantined", ()))
+                recycles_by_worker[w] = recycles_by_worker.get(w, 0) + 1
+                if recycles_by_worker[w] > _MAX_RECYCLES:
+                    fail = WorkerFailure(
+                        w, list(worker_shards[w]), "recycle limit",
+                        attempt=attempts[w])
+                    exhausted.append(fail)
+                    failures_all.append(fail)
+                    continue
+                recycle_spawns += 1
+                reg.counter("pipeline.ckpt.recycles").inc()
+                respawn.add(w)
+            if not respawn:
+                break
+            new_procs = {}
+            for w in sorted(respawn):
+                attempts[w] += 1
+                new_procs[w] = _spawn(w)
             with reg.span("pipeline.collect"):
-                outcome = collect_results(out_q, procs, worker_shards,
+                outcome = collect_results(out_q, new_procs, worker_shards,
                                           timeout=timeout, attempts=attempts)
-            payloads = outcome.payloads
+            payloads.update(outcome.payloads)
             partial_workers.update(outcome.partial_workers)
             failures = outcome.failures
             recycled = outcome.recycled
             failures_all.extend(failures)
-            if failures and not recover:
-                first = failures[0]
-                raise WorkerCrashedError(
-                    first.worker, first.shards,
-                    reason=first.reason, exitcode=first.exitcode,
-                )
-            # Supervision loop: retried workers (with a checkpoint plan
-            # they resume from their lane's newest checkpoint instead of
-            # replaying from byte 0) consume the retry budget; recycled
-            # workers (memory guard) are respawned for free — their exit
-            # was voluntary, checkpointed progress, not a failure.
-            rnd = 0
-            recycles_by_worker: Dict[int, int] = {}
-            exhausted: List[WorkerFailure] = []
-            while failures or recycled:
-                if failures and rnd >= retries:
-                    break
-                respawn: set = set()
-                if failures:
-                    rnd += 1
-                    retry_spawns += len(failures)
-                    reg.counter("pipeline.retries").add(len(failures))
-                    with reg.span("pipeline.retry"):
-                        time.sleep(backoff_delay(rnd, base=backoff_base,
-                                                 cap=backoff_max))
-                    respawn.update(f.worker for f in failures)
-                for rec in recycled:
-                    w = rec["worker"]
-                    info = (rec["info"] or {}).get("ckpt") or {}
-                    recycle_ckpt_written += info.get("written", 0)
-                    recycle_quarantined.extend(info.get("quarantined", ()))
-                    recycles_by_worker[w] = recycles_by_worker.get(w, 0) + 1
-                    if recycles_by_worker[w] > _MAX_RECYCLES:
-                        fail = WorkerFailure(
-                            w, list(worker_shards[w]), "recycle limit",
-                            attempt=attempts[w])
-                        exhausted.append(fail)
-                        failures_all.append(fail)
-                        continue
-                    recycle_spawns += 1
-                    reg.counter("pipeline.ckpt.recycles").inc()
-                    respawn.add(w)
-                if not respawn:
-                    break
-                new_procs = {}
-                for w in sorted(respawn):
-                    attempts[w] += 1
-                    new_procs[w] = _spawn(
-                        _worker_file,
-                        (path, out_q, attempts[w], fault_plan, not salvage,
-                         plan), w)
-                with reg.span("pipeline.collect"):
-                    outcome = collect_results(out_q, new_procs,
-                                              worker_shards,
-                                              timeout=timeout,
-                                              attempts=attempts)
-                payloads.update(outcome.payloads)
-                partial_workers.update(outcome.partial_workers)
-                failures = outcome.failures
-                recycled = outcome.recycled
-                failures_all.extend(failures)
-            # workers still recycled when the loop bailed (retry budget
-            # spent on others) have no payload — degrade covers them
-            for rec in recycled:
-                w = rec["worker"]
-                fail = WorkerFailure(w, list(worker_shards[w]),
-                                     "recycle limit", attempt=attempts[w])
-                failures.append(fail)
-                failures_all.append(fail)
-            failures = failures + exhausted
-            queue_peak = [0] * jobs
-        else:
-            in_qs = [ctx.Queue(queue_depth) for _ in range(jobs)]
-            procs = {
-                w: _spawn(_worker_queue, (in_qs[w], out_q, 0, fault_plan), w)
-                for w in range(jobs)
-            }
-            # queue depth lives in the registry (the former hand-rolled
-            # queue_peak list); PipelineResult reads the gauge peaks back
-            depth_gauges = [
-                reg.gauge("pipeline.queue_depth", worker=str(w))
-                for w in range(jobs)
-            ]
-            buffers: List[List[TraceEvent]] = [[] for _ in range(nranks)]
-            events_total = 0
-            lost: set = set()
-
-            def _fail_worker(worker: int, reason: str) -> None:
-                lost.add(worker)
-                failures_all.append(WorkerFailure(
-                    worker, list(worker_shards[worker]), reason,
-                    exitcode=procs[worker].exitcode, attempt=0,
-                ))
-
-            def _put_bounded(worker: int, item) -> None:
-                """put() that survives a dead or wedged consumer."""
-                waited = 0.0
-                while worker not in lost:
-                    try:
-                        in_qs[worker].put(item, timeout=0.2)
-                        return
-                    except _queue.Full:
-                        if not procs[worker].is_alive():
-                            _fail_worker(worker, "crashed")
-                            return
-                        waited += 0.2
-                        if timeout is not None and waited > timeout:
-                            procs[worker].terminate()
-                            procs[worker].join(1.0)
-                            _fail_worker(worker, "stalled")
-                            return
-
-            def ship(shard: int) -> None:
-                worker = shard % jobs
-                batch = buffers[shard]
-                buffers[shard] = []
-                if worker in lost:
-                    return
-                try:  # qsize is advisory; not implemented everywhere
-                    depth_gauges[worker].set(in_qs[worker].qsize() + 1)
-                except NotImplementedError:  # pragma: no cover
-                    pass
-                _put_bounded(worker, (shard, batch))
-
-            with reg.span("pipeline.produce"):
-                for event in events:
-                    events_total += 1
-                    for shard in shards_of(event, nranks):
-                        buffers[shard].append(event)
-                        if len(buffers[shard]) >= batch_size:
-                            ship(shard)
-                for shard in range(nranks):
-                    if buffers[shard]:
-                        ship(shard)
-                for w in range(jobs):
-                    _put_bounded(w, None)
-            reg.counter("pipeline.events.read").add(events_total)
-            queue_peak = [depth_gauges[w].peak for w in range(jobs)]
-            live = {w: p for w, p in procs.items() if w not in lost}
-            with reg.span("pipeline.collect"):
-                outcome = collect_results(out_q, live, worker_shards,
-                                          timeout=timeout, attempt=0)
-            payloads = outcome.payloads
-            failures_all.extend(outcome.failures)
-            failures = [f for f in failures_all]
-            if failures and not recover:
-                first = failures[0]
-                raise WorkerCrashedError(
-                    first.worker, first.shards,
-                    reason=first.reason, exitcode=first.exitcode,
-                )
-            # a queue worker's in-flight batches died with it: no replay
-            # material for a respawn, so failures go straight to the
-            # degraded path below
+        # workers still recycled when the loop bailed (retry budget spent
+        # on others) have no payload — degrade covers them
+        for rec in recycled:
+            w = rec["worker"]
+            fail = WorkerFailure(w, list(worker_shards[w]),
+                                 "recycle limit", attempt=attempts[w])
+            failures.append(fail)
+            failures_all.append(fail)
+        failures = failures + exhausted
 
         degraded = False
         if failures:
@@ -1382,14 +1251,8 @@ def _analyze_impl(
         all_stats = [
             s for w in sorted(payloads) for s in _payload_stats(payloads[w])
         ]
-        clean_exit = True
     finally:
         reap_processes(all_procs)
-        if not clean_exit:
-            for q in in_qs:
-                # don't let a dead consumer's unflushed queue buffer
-                # block interpreter shutdown
-                q.cancel_join_thread()
 
     wall = time.perf_counter() - t0
     with reg.span("pipeline.aggregate"):
@@ -1452,11 +1315,10 @@ def _analyze_impl(
         else:
             fraction = 1.0
     return PipelineResult(
-        detector=detector, nranks=nranks, jobs=jobs, dispatch=dispatch,
+        detector=detector, nranks=nranks, jobs=jobs, dispatch="file",
         events_total=events_total, wall_seconds=wall, verdicts=merged,
         forensics=forensics,
         shard_stats=sorted(all_stats, key=lambda s: s.shard),
-        queue_peak=queue_peak,
         retries=retry_spawns,
         degraded=degraded,
         failed_workers=[f.to_dict() for f in failures_all],

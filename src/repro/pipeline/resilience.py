@@ -22,9 +22,9 @@ The collector itself never retries: it reports
 :class:`~repro.pipeline.resilience.WorkerFailure` records and lets the
 engine decide — raise :class:`~repro.mpi.errors.WorkerCrashedError`
 (recovery disabled), re-run the dead worker's shard-group with
-capped-exponential backoff (file dispatch: replay is deterministic, so
-retried verdicts are byte-identical), or degrade to serial in-process
-replay of the missing shards.
+capped-exponential backoff (each worker reads the trace file itself and
+replay is deterministic, so retried verdicts are byte-identical), or
+degrade to serial in-process replay of the missing shards.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def reap_processes(procs: Sequence) -> None:
     """Terminate and join every process — the engine's cleanup path.
 
     Safe on already-exited processes; bounded waits throughout, so an
-    interrupt (KeyboardInterrupt, SIGTERM) in the producer loop leaves
-    no orphans behind.
+    interrupt (KeyboardInterrupt, SIGTERM) in the supervising parent
+    leaves no orphans behind.
     """
     for proc in procs:
         if proc.is_alive():
@@ -125,9 +125,8 @@ def collect_results(
     procs: Dict[int, object],
     worker_shards: Sequence[Sequence[int]],
     *,
+    attempts: Dict[int, int],
     timeout: float = None,
-    attempt: int = 0,
-    attempts: Dict[int, int] = None,
     poll: float = _POLL,
     grace: float = _EXIT_GRACE,
 ) -> CollectOutcome:
@@ -140,17 +139,16 @@ def collect_results(
     :class:`WorkerFailure` per worker that did not; stalled workers are
     terminated before being reported.
 
-    ``attempts`` maps worker id -> its current attempt number when
-    workers in one pass run different attempts (checkpoint resume mixes
-    retried and recycled workers); ``attempt`` is the uniform fallback.
-    Messages tagged with any other attempt are dropped — a stale
-    attempt's payload merging twice is exactly the double-count bug the
-    per-attempt registry scoping exists to prevent.
+    ``attempts`` maps worker id -> its current attempt number (workers
+    in one pass may run different attempts: checkpoint resume mixes
+    retried and recycled workers).  Messages tagged with any other
+    attempt are dropped — a stale attempt's payload merging twice is
+    exactly the double-count bug the per-attempt registry scoping
+    exists to prevent.
     """
     outcome = CollectOutcome()
     pending = set(procs)
-    expected = ({w: attempt for w in pending} if attempts is None
-                else {w: attempts[w] for w in pending})
+    expected = {w: attempts[w] for w in pending}
     now = time.monotonic()
     last_progress = {w: now for w in pending}
     dead_since: Dict[int, float] = {}

@@ -89,7 +89,7 @@ def test_serial_events_analyzed_matches_reader(trace_path):
     assert counters["pipeline.events.analyzed"] == reader_count
 
 
-@pytest.mark.parametrize("dispatch", ["queue", "file"])
+@pytest.mark.parametrize("dispatch", [None, "file"], ids=["default", "file"])
 def test_parallel_events_analyzed_matches_shard_routing(trace_path,
                                                         dispatch):
     reader = TraceReader(trace_path)
@@ -97,6 +97,7 @@ def test_parallel_events_analyzed_matches_shard_routing(trace_path,
         len(shards_of(event, reader.nranks)) for event in reader
     )
     result = analyze_trace(trace_path, jobs=2, dispatch=dispatch)
+    assert result.dispatch == "file"  # "file" is accepted and selects nothing
     counters = result.obs["counters"]
     assert counters["pipeline.events.read"] == result.events_total
     assert counters["pipeline.events.analyzed"] == expected
@@ -123,24 +124,15 @@ def test_pipeline_spans_present_parallel(trace_path):
     top = result.obs["spans"]["children"]
     analyze = top["pipeline.analyze"]
     assert analyze["count"] == 1
-    assert "pipeline.produce" in analyze["children"]
+    assert "pipeline.read" in analyze["children"]
     assert "pipeline.collect" in analyze["children"]
     assert "pipeline.aggregate" in analyze["children"]
     # worker time merges in at the root: it ran in *parallel* with the
-    # producer, so nesting it under pipeline.analyze would break the
+    # parent, so nesting it under pipeline.analyze would break the
     # children-sum-within-parent property
-    assert "worker.analyze" in top
+    assert "worker.analyze" in top["worker.read"]["children"]
     for name, child in top.items():
         _assert_children_bounded(child, name)
-
-
-def test_queue_peak_comes_from_depth_gauges(trace_path):
-    result = analyze_trace(trace_path, jobs=2, dispatch="queue")
-    gauges = result.obs["gauges"]
-    for worker in range(2):
-        key = obs.metric_key("pipeline.queue_depth",
-                             {"worker": str(worker)})
-        assert result.queue_peak[worker] == gauges[key]["peak"]
 
 
 def test_parallel_node_peaks_match_serial(trace_path):

@@ -45,25 +45,11 @@ class TestVerdictParity:
         four = analyze_trace(minivite_trace, detector="our", jobs=4)
         assert _pipeline_verdicts(one) == _pipeline_verdicts(four)
 
-    def test_file_dispatch_equals_queue_dispatch(self, minivite_trace):
-        queue = analyze_trace(minivite_trace, detector="our", jobs=2,
-                              dispatch="queue")
-        file = analyze_trace(minivite_trace, detector="our", jobs=2,
-                             dispatch="file")
-        assert _pipeline_verdicts(queue) == _pipeline_verdicts(file)
-        assert queue.events_total == file.events_total
-
     def test_odd_job_counts(self, minivite_trace):
         baseline = _serial_verdicts(minivite_trace, "our")
         for jobs in (2, 3):
             result = analyze_trace(minivite_trace, detector="our", jobs=jobs)
             assert _pipeline_verdicts(result) == baseline, jobs
-
-    def test_tiny_batches(self, minivite_trace):
-        result = analyze_trace(minivite_trace, detector="our", jobs=4,
-                               batch_size=7)
-        assert _pipeline_verdicts(result) == \
-            _serial_verdicts(minivite_trace, "our")
 
 
 class TestMetrics:
@@ -80,17 +66,13 @@ class TestMetrics:
         assert result.events_per_sec > 0
         assert result.events_total == len(load_trace(minivite_trace).log)
 
-    def test_queue_peaks_bounded(self, minivite_trace):
-        result = analyze_trace(minivite_trace, detector="our", jobs=4,
-                               queue_depth=8)
-        assert len(result.queue_peak) == 4
-        assert all(0 <= p <= 9 for p in result.queue_peak)
-
     def test_to_dict_is_json_serializable(self, minivite_trace):
         result = analyze_trace(minivite_trace, detector="our", jobs=2)
         d = json.loads(json.dumps(result.to_dict()))
         assert d["races"] == result.races
         assert d["jobs"] == 2
+        assert d["dispatch"] == "file"
+        assert "queue_peak" not in d
         assert len(d["shards"]) == 4
 
 
@@ -111,14 +93,11 @@ class TestInputHandling:
             analyze_trace(minivite_trace, detector="tsan")
 
     def test_unknown_dispatch_rejected(self, minivite_trace):
-        with pytest.raises(ValueError, match="dispatch"):
-            analyze_trace(minivite_trace, dispatch="sorted")
-
-    def test_bad_batch_size_rejected(self, minivite_trace):
-        with pytest.raises(ValueError, match="batch_size"):
-            analyze_trace(minivite_trace, batch_size=0)
+        for dispatch in ("sorted", "queue"):
+            with pytest.raises(ValueError, match="queue dispatch was removed"):
+                analyze_trace(minivite_trace, dispatch=dispatch)
 
     def test_file_dispatch_needs_path(self, minivite_trace):
         loaded = load_trace(minivite_trace)
         with pytest.raises(ValueError, match="path"):
-            analyze_trace(loaded, jobs=2, dispatch="file")
+            analyze_trace(loaded, jobs=2)

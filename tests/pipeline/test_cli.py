@@ -65,6 +65,21 @@ class TestRecordAnalyzeEndToEnd:
         assert report["events_total"] > 0
         assert isinstance(report["verdicts"], list)
 
+    @pytest.mark.parametrize("command", ["analyze", "explain"])
+    def test_jobs_zero_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "hist.trace"
+        main(["record", "histogram", "--size", "32", "-o", str(trace)])
+        capsys.readouterr()
+        assert main([command, str(trace), "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--dispatch", "file"],
+                                      ["--batch-size", "64"]])
+    def test_removed_fanout_flags_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(tmp_path / "t.trace"), *flag])
+        assert exc.value.code == 2
+
     def test_inject_race_rejected_for_non_minivite(self, tmp_path, capsys):
         assert main(["record", "cfd", "--inject-race",
                      "-o", str(tmp_path / "t")]) == 2

@@ -475,12 +475,6 @@ def test_guards_require_ckpt_dir(mv_trace):
         analyze_trace(mv_trace, resume=True)
 
 
-def test_queue_dispatch_rejects_checkpointing(mv_trace, tmp_path):
-    with pytest.raises(ValueError, match="dispatch='file'"):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue",
-                      ckpt_dir=tmp_path / "ck")
-
-
 def test_ckpt_every_must_be_positive(mv_trace, tmp_path):
     with pytest.raises(ValueError, match="ckpt_every"):
         analyze_trace(mv_trace, ckpt_dir=tmp_path / "ck", ckpt_every=0)

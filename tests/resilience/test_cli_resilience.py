@@ -107,8 +107,7 @@ def test_worker_failures_reported_in_text_output(monkeypatch, mv_trace,
 
     # patch where the CLI looks it up (imported inside _analyze)
     monkeypatch.setattr(repro.pipeline, "analyze_trace", faulted)
-    status = main(["analyze", str(mv_trace),
-                   "--jobs", "2", "--dispatch", "file"])
+    status = main(["analyze", str(mv_trace), "--jobs", "2"])
     assert status == 0
     out = capsys.readouterr().out
     assert "worker 0 crashed" in out

@@ -3,9 +3,9 @@
 The engine's ``finally`` reaps every process it ever spawned, with
 bounded waits; the CLI converts SIGTERM into ``SystemExit`` so that
 path also runs when the process is terminated from outside.  These
-tests interrupt the producer at every level — in-process exception,
-signal to a library caller, signal to the CLI — and assert no orphans
-and no leftover temp files.
+tests interrupt the supervising parent at every level — in-process
+exception, signal to a library caller, signal to the CLI — and assert
+no orphans and no leftover temp files.
 """
 
 import multiprocessing as mp
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro.pipeline.engine as engine
+from repro.faultinject import FaultPlan, StallWorker
 from repro.pipeline import analyze_trace
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -34,38 +35,44 @@ def _no_children_left(deadline=5.0):
     return not mp.active_children()
 
 
-def _interrupt_producer(monkeypatch, exc_type, after=500):
-    """Make the producer loop raise ``exc_type`` after ``after`` events.
+def _interrupt_collection(monkeypatch, exc_type):
+    """Make the parent raise ``exc_type`` when it starts collecting.
 
-    ``shards_of`` is the routing call the producer makes per event; in
-    queue dispatch the workers never call it, so the patched copy only
-    fires in the parent.
+    ``collect_results`` is the supervising parent's wait on its
+    workers; the workers never call it, so the patched copy only fires
+    in the parent.  Returns a dict that records how many workers were
+    alive at the moment of the interrupt.
     """
-    real = engine.shards_of
-    seen = {"n": 0}
+    seen = {"alive": 0}
 
-    def exploding(event, nranks):
-        seen["n"] += 1
-        if seen["n"] > after:
-            raise exc_type()
-        return real(event, nranks)
+    def exploding(*args, **kwargs):
+        seen["alive"] = len(mp.active_children())
+        raise exc_type()
 
-    monkeypatch.setattr(engine, "shards_of", exploding)
+    monkeypatch.setattr(engine, "collect_results", exploding)
+    return seen
+
+
+#: wedge every worker on its first event, so all of them are still
+#: running when the parent is interrupted
+_STALL_ALL = FaultPlan(tuple(StallWorker(w, attempt=None) for w in range(4)))
 
 
 @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
 def test_producer_interrupt_reaps_all_workers(mv_trace, monkeypatch,
                                               exc_type):
-    _interrupt_producer(monkeypatch, exc_type)
+    seen = _interrupt_collection(monkeypatch, exc_type)
     with pytest.raises(exc_type):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue", batch_size=32)
+        analyze_trace(mv_trace, jobs=4, fault_plan=_STALL_ALL)
+    assert seen["alive"] == 4
     assert _no_children_left()
 
 
 def test_generic_producer_error_reaps_all_workers(mv_trace, monkeypatch):
-    _interrupt_producer(monkeypatch, RuntimeError)
+    seen = _interrupt_collection(monkeypatch, RuntimeError)
     with pytest.raises(RuntimeError):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue", batch_size=32)
+        analyze_trace(mv_trace, jobs=4, fault_plan=_STALL_ALL)
+    assert seen["alive"] == 4
     assert _no_children_left()
 
 
@@ -83,7 +90,7 @@ def test_sigterm_mid_analysis_leaves_no_orphans(mv_trace, tmp_path):
         "from repro.faultinject import FaultPlan, StallWorker\n"
         "signal.signal(signal.SIGTERM, lambda s, f: sys.exit(128 + s))\n"
         "print('go', flush=True)\n"
-        f"analyze_trace({str(mv_trace)!r}, jobs=2, dispatch='file',\n"
+        f"analyze_trace({str(mv_trace)!r}, jobs=2,\n"
         "              fault_plan=FaultPlan((StallWorker(0, attempt=None),)))\n"
     )
     proc = subprocess.Popen(

@@ -203,16 +203,15 @@ def test_pre_checksum_files_still_read(mv_trace, tmp_path):
 
 
 def test_salvage_parity_across_execution_modes(rechunk, mv_trace):
-    """Serial, queue and file analysis agree on a damaged trace."""
+    """Serial and sharded analysis agree on a damaged trace."""
     path = rechunk(mv_trace)
     last = chunk_index(path)[-1]
     flip_bytes(path, chunk=last.chunk, seed=3)
 
     serial = analyze_trace(path, jobs=1, salvage=True)
-    queued = analyze_trace(path, jobs=4, dispatch="queue", salvage=True)
-    filed = analyze_trace(path, jobs=4, dispatch="file", salvage=True)
+    sharded = analyze_trace(path, jobs=4, salvage=True)
 
-    for result in (serial, queued, filed):
+    for result in (serial, sharded):
         assert result.verdicts == serial.verdicts
         assert result.salvage["quarantined_chunks"] == [last.chunk]
         assert result.salvage["events_lost"] == last.nevents

@@ -19,7 +19,7 @@ def _same_verdicts(a, b):
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-# -- file dispatch: crashed workers are retried -------------------------------
+# -- crashed workers are retried ---------------------------------------------
 
 
 def test_kill_first_attempt_recovers_via_retry(mv_trace, serial_verdicts):
@@ -96,38 +96,13 @@ def test_recover_false_raises_naming_the_worker(mv_trace):
 
 
 def test_v1_trace_supervised_retry(cfd_json_trace):
-    """Supervision is format-agnostic: file dispatch over a v1 trace."""
+    """Supervision is format-agnostic: sharded analysis of a v1 trace."""
     baseline = analyze_trace(cfd_json_trace, jobs=1).verdicts
     plan = FaultPlan((KillWorker(worker=0, after_batches=20),))
     result = analyze_trace(cfd_json_trace, jobs=2, dispatch="file",
                            fault_plan=plan)
     assert _same_verdicts(result.verdicts, baseline)
     assert result.retries == 1
-
-
-# -- queue dispatch: in-flight batches die with the worker --> degrade --------
-
-
-def test_queue_kill_degrades_with_parity(mv_trace, serial_verdicts):
-    plan = FaultPlan((KillWorker(worker=1, after_batches=2),))
-    result = analyze_trace(mv_trace, jobs=2, dispatch="queue",
-                           batch_size=64, fault_plan=plan)
-    assert _same_verdicts(result.verdicts, serial_verdicts)
-    assert result.degraded
-    assert result.retries == 0  # queue batches are gone: no retry material
-    assert any(f["worker"] == 1 and f["reason"] == "crashed"
-               for f in result.failed_workers)
-
-
-def test_queue_stall_detected_by_producer(mv_trace, serial_verdicts):
-    plan = FaultPlan((StallWorker(worker=0, after_batches=1),))
-    result = analyze_trace(mv_trace, jobs=2, dispatch="queue",
-                           batch_size=16, queue_depth=2,
-                           timeout=1.0, fault_plan=plan)
-    assert _same_verdicts(result.verdicts, serial_verdicts)
-    assert result.degraded
-    assert any(f["worker"] == 0 and f["reason"] == "stalled"
-               for f in result.failed_workers)
 
 
 # -- surfacing and plumbing ---------------------------------------------------
