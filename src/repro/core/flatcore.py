@@ -32,6 +32,7 @@ resume to confidently wrong verdicts.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from time import perf_counter_ns
 from typing import List
@@ -187,7 +188,11 @@ class FlatDetector(OurDetector):
         and drive the epoch/window state machine.  The record stream
         entering :meth:`_ingest_rec` is identical to decoded-event
         ingestion, so verdicts, forensics, filter counters and obs
-        metrics cannot diverge.
+        metrics cannot diverge.  A record running past the payload end,
+        an id past the end of its table or an invalid interval that
+        reaches a race report raises
+        :class:`~repro.mpi.errors.TraceFormatError` naming the trace and
+        ``ctx.chunk_no``.
         """
         from ..mpi.errors import TraceFormatError
         from ..pipeline import format as _fmt
@@ -275,70 +280,86 @@ class FlatDetector(OurDetector):
         get_wids = by_rank.get
         seen = 0
         kept = 0
-        for _ in range(nevents):
-            tag = payload[off]
-            off += 1
-            if tag == tag_local:
-                seen += 1
-                fpos = off + nlocal
-                flags = payload[fpos]
-                rpos = fpos + 1 + skiptab[flags & 3]  # region bytes
-                if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
+        # ids, offsets and intervals come from the trace unchecked: a
+        # record that runs past the payload end, an id past the end of
+        # its table, or an invalid interval materialized for a race
+        # report surfaces here, once, as a typed rejection naming the
+        # chunk
+        try:
+            for _ in range(nevents):
+                tag = payload[off]
+                off += 1
+                if tag == tag_local:
+                    seen += 1
+                    fpos = off + nlocal
+                    flags = payload[fpos]
+                    rpos = fpos + 1 + skiptab[flags & 3]  # region bytes
+                    if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
+                        off = rpos + 2
+                        continue
+                    kept += 1
+                    rank = local_at(payload, off)[1]
+                    wids = get_wids(rank)
+                    if wids:
+                        # access_rec, inlined: this is the one hot decode
+                        body = fpos + 1
+                        lo, hi, tid, fid, line, origin, flush_gen = \
+                            access_at(payload, body)
+                        if flags & 1:
+                            aid = u32_at(payload, body + nacc)[0]
+                            naccum = accum_get(aid)
+                            if naccum is None:
+                                naccum = accum_ids[aid] = accum_new(
+                                    strings[aid])
+                        else:
+                            naccum = 0
+                        excl = (q_at(payload, rpos - 8)[0] if flags & 2
+                                else None)
+                        sk = fid << 32 | line
+                        nsite = site_get(sk)
+                        if nsite is None:
+                            nsite = site_ids[sk] = site_new(
+                                DebugInfo(strings[fid], line))
+                        nrec = (lo, hi, access_table[tid], nsite, origin, 0,
+                                flush_gen, naccum, excl)
+                        for wid in wids:
+                            ingest(rank, wid, nrec, reg)
                     off = rpos + 2
-                    continue
-                kept += 1
-                rank = local_at(payload, off)[1]
-                wids = get_wids(rank)
-                if wids:
-                    # access_rec, inlined: this is the one hot decode
-                    body = fpos + 1
-                    lo, hi, tid, fid, line, origin, flush_gen = \
-                        access_at(payload, body)
-                    if flags & 1:
-                        aid = u32_at(payload, body + nacc)[0]
-                        naccum = accum_get(aid)
-                        if naccum is None:
-                            naccum = accum_ids[aid] = accum_new(
-                                strings[aid])
-                    else:
-                        naccum = 0
-                    excl = q_at(payload, rpos - 8)[0] if flags & 2 else None
-                    sk = fid << 32 | line
-                    nsite = site_get(sk)
-                    if nsite is None:
-                        nsite = site_ids[sk] = site_new(
-                            DebugInfo(strings[fid], line))
-                    nrec = (lo, hi, access_table[tid], nsite, origin, 0,
-                            flush_gen, naccum, excl)
-                    for wid in wids:
-                        ingest(rank, wid, nrec, reg)
-                off = rpos + 2
-            elif tag == tag_rma:
-                _seq, rank, target, wid = rma_at(payload, off)
-                pos = off + nrma + 12  # skip op-string id + nbytes
-                orec, pos = access_rec(pos)
-                trec, pos = access_rec(pos)
-                off = pos + 4  # skip the two region byte pairs
-                ingest(rank, wid, orec, reg)
-                ingest(target, wid, trec, reg)
-            elif tag == tag_sync:
-                seq, rank, kid, wid = sync_at(payload, off)
-                off += nsync
-                filt.seen += seen
-                filt.kept += kept
-                seen = kept = 0
-                dispatch_event(
-                    self, SyncEvent(seq, rank, sync_table[kid], wid),
-                    nranks)
-                by_rank = {}
-                for r, w in self._open_epochs:
-                    by_rank.setdefault(r, []).append(w)
-                get_wids = by_rank.get
-            else:
-                raise TraceFormatError(f"unknown event tag {tag}")
+                elif tag == tag_rma:
+                    _seq, rank, target, wid = rma_at(payload, off)
+                    pos = off + nrma + 12  # skip op-string id + nbytes
+                    orec, pos = access_rec(pos)
+                    trec, pos = access_rec(pos)
+                    off = pos + 4  # skip the two region byte pairs
+                    ingest(rank, wid, orec, reg)
+                    ingest(target, wid, trec, reg)
+                elif tag == tag_sync:
+                    seq, rank, kid, wid = sync_at(payload, off)
+                    off += nsync
+                    filt.seen += seen
+                    filt.kept += kept
+                    seen = kept = 0
+                    dispatch_event(
+                        self, SyncEvent(seq, rank, sync_table[kid], wid),
+                        nranks)
+                    by_rank = {}
+                    for r, w in self._open_epochs:
+                        by_rank.setdefault(r, []).append(w)
+                    get_wids = by_rank.get
+                else:
+                    raise TraceFormatError(
+                        f"chunk {ctx.chunk_no}: unknown event tag {tag}",
+                        path=ctx.path)
+        except TraceFormatError:
+            raise
+        except (IndexError, ValueError, struct.error) as exc:
+            raise TraceFormatError(
+                f"chunk {ctx.chunk_no}: malformed event record at byte "
+                f"{off} ({exc})", path=ctx.path) from exc
         if off != len(payload):
             raise TraceFormatError(
-                f"{len(payload) - off} trailing bytes in chunk")
+                f"chunk {ctx.chunk_no}: {len(payload) - off} trailing bytes",
+                path=ctx.path)
         filt.seen += seen
         filt.kept += kept
         return nevents

@@ -35,6 +35,7 @@ from .corrupt import (
 from .incremental import (
     append_mid_analysis,
     extend_trace,
+    patch_chunk,
     rewrite_prefix,
     truncate_tail_mid_append,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "flip_bytes",
     "install_serve_faults_from_env",
     "kill_daemon",
+    "patch_chunk",
     "rewrite_prefix",
     "sever_mid_upload",
     "truncate_mid_chunk",

@@ -21,7 +21,9 @@ prefix-resume, and each gets a deterministic injector:
   trace that merely disagrees with its past — undetectable by per-chunk
   checksums, caught only by comparing against a retained chain cursor.
   Resume/follow must refuse it with a divergence error, never blend old
-  verdicts with new history.
+  verdicts with new history.  :func:`patch_chunk` is the general form:
+  any same-length payload edit, with the same repairs, so a malformed
+  record reaches the decoder past every checksum.
 
 All randomness is seeded; every chaos run reproduces identical damage.
 """
@@ -34,7 +36,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from ..mpi.errors import TraceFormatError
 from ..pipeline.format import (
@@ -44,11 +46,12 @@ from ..pipeline.format import (
     _chain_next,
     _chain_seed,
 )
-from .corrupt import _U32, chunk_index
+from .corrupt import _U32, ChunkInfo, chunk_index
 
 __all__ = [
     "append_mid_analysis",
     "extend_trace",
+    "patch_chunk",
     "rewrite_prefix",
     "truncate_tail_mid_append",
 ]
@@ -183,26 +186,20 @@ def truncate_tail_mid_append(
     return len(raw)
 
 
-def rewrite_prefix(
+def patch_chunk(
     path: Union[str, Path],
-    chunk: int = 1,
-    *,
-    count: int = 4,
-    seed: int = 0,
-    xor: int = 0xFF,
-) -> List[int]:
-    """Rewrite history: alter ``chunk`` and repair every self-check.
+    chunk: int,
+    patch: Callable[[bytearray], None],
+) -> ChunkInfo:
+    """Edit one chunk's payload in place and repair every self-check.
 
-    Flips ``count`` seeded-random payload bytes of the 1-based
-    ``chunk``, then recomputes that chunk's crc32 and *all* stored
-    rolling-chain digests so the file passes every internal consistency
-    check a fresh reader applies.  What it can no longer pass is a
-    comparison against externally retained state — a checkpoint cursor
-    or a cached chain sidecar — because the chain values from ``chunk``
-    onward now commit to different bytes.  This is the adversarial case
-    prefix-resume exists to catch: resuming such a file must raise a
-    divergence error, never splice old verdicts onto new history.
-    Returns the absolute file offsets flipped.
+    ``patch`` receives the 1-based ``chunk``'s payload as a bytearray
+    and edits it without changing its length.  The chunk's crc32 and
+    *all* stored rolling-chain digests are then recomputed, so the file
+    passes every internal consistency check a fresh reader applies:
+    whatever is wrong with the edited payload has to be caught by the
+    decoder itself, or by a comparison against retained chain state.
+    Returns the patched chunk's :class:`~repro.faultinject.ChunkInfo`.
     """
     path = Path(path)
     raw = bytearray(path.read_bytes())
@@ -214,23 +211,21 @@ def rewrite_prefix(
     header = json.loads(header_bytes)
     if not header.get("chunk_crc32"):
         raise TraceFormatError(
-            "rewrite_prefix needs a checksummed trace", path=path)
+            "patch_chunk needs a checksummed trace", path=path)
     chunks = chunk_index(path)
     if not 1 <= chunk <= len(chunks):
         raise ValueError(f"{path} has {len(chunks)} chunks, no chunk {chunk}")
     info = chunks[chunk - 1]
-    rng = random.Random(seed)
-    offsets = sorted(
-        info.payload_pos + o
-        for o in rng.sample(range(info.nbytes), min(count, info.nbytes))
-    )
-    for off in offsets:
-        raw[off] ^= xor
-    # repair the flipped chunk's crc (frame: tag, nbytes, nevents, crc)
-    payload = bytes(raw[info.payload_pos:info.payload_pos + info.nbytes])
+    start, end = info.payload_pos, info.payload_pos + info.nbytes
+    payload = bytearray(raw[start:end])
+    patch(payload)
+    if len(payload) != info.nbytes:
+        raise ValueError("patch_chunk edits must keep the payload length")
+    raw[start:end] = payload
+    # repair the patched chunk's crc (frame: tag, nbytes, nevents, crc)
     _U32.pack_into(raw, info.frame_pos + 12, zlib.crc32(payload))
     # recompute every stored chain digest from the seed; values before
-    # the flipped chunk are unchanged by construction, values from it
+    # the patched chunk are unchanged by construction, values from it
     # onward now commit to the rewritten bytes
     if header.get("chunk_chain"):
         chain = _chain_seed(bytes(raw[len(MAGIC_V2):hdr_start]), header_bytes)
@@ -239,4 +234,38 @@ def rewrite_prefix(
             chain = _chain_next(chain, pl)
             raw[inf.frame_pos + 16:inf.frame_pos + 16 + 32] = chain
     path.write_bytes(bytes(raw))
-    return offsets
+    return info
+
+
+def rewrite_prefix(
+    path: Union[str, Path],
+    chunk: int = 1,
+    *,
+    count: int = 4,
+    seed: int = 0,
+    xor: int = 0xFF,
+) -> List[int]:
+    """Rewrite history: alter ``chunk`` and repair every self-check.
+
+    Flips ``count`` seeded-random payload bytes of the 1-based
+    ``chunk``, then repairs the file with :func:`patch_chunk` so it
+    passes every internal consistency check a fresh reader applies.
+    What it can no longer pass is a comparison against externally
+    retained state — a checkpoint cursor or a cached chain sidecar —
+    because the chain values from ``chunk`` onward now commit to
+    different bytes.  This is the adversarial case
+    prefix-resume exists to catch: resuming such a file must raise a
+    divergence error, never splice old verdicts onto new history.
+    Returns the absolute file offsets flipped.
+    """
+    flipped: List[int] = []
+
+    def flip(payload: bytearray) -> None:
+        rng = random.Random(seed)
+        for off in sorted(rng.sample(range(len(payload)),
+                                     min(count, len(payload)))):
+            payload[off] ^= xor
+            flipped.append(off)
+
+    info = patch_chunk(path, chunk, flip)
+    return [info.payload_pos + off for off in flipped]

@@ -41,6 +41,21 @@ survives enum reordering in future versions of the package.  Files
 written before the checksum existed carry no ``chunk_crc32`` header
 flag and are still read.
 
+Decoding shares equal immutable pieces instead of rebuilding them for
+every event: one :class:`~repro.intervals.DebugInfo` per ``(file id,
+line)`` and one :class:`~repro.mpi.memory.RegionInfo` per raw ``(kind,
+alias)`` byte pair for the whole pass (one ``iter``/``iter_chunks``
+call; the string table only grows, so an id means the same string for
+the whole pass), and one :class:`~repro.intervals.MemoryAccess` per
+distinct raw access record within one chunk (the memo is dropped at
+each chunk, so memory stays bounded by the chunk).  Sharing is safe
+because these objects are frozen and nothing compares them by identity:
+decoded events are ``==`` and ``repr``-identical to the events the
+writer was given.  Objects are built by setting their fields directly,
+skipping the dataclass ``__init__``; the checks ``__init__`` would make
+(``0 <= lo < hi`` for an interval) are explicit in the decoder and fail
+as :class:`~repro.mpi.errors.TraceFormatError` naming the chunk.
+
 Robustness:
 
 * Writers stream to ``<path>.tmp`` and :func:`os.replace` into place on
@@ -66,10 +81,12 @@ Robustness:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
 import zlib
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -316,13 +333,10 @@ class BinaryTraceWriter:
                                 path=path, chunk=chunks + 1)
                     # replay the incremental string table so new chunks
                     # intern against the same ids the file already uses
-                    (nstrings,) = _U32.unpack_from(payload, 0)
-                    off = _U32.size
-                    for _ in range(nstrings):
-                        (slen,) = _U32.unpack_from(payload, off)
-                        off += _U32.size
-                        strings.intern(payload[off:off + slen].decode("utf-8"))
-                        off += slen
+                    fresh: List[str] = []
+                    _read_strings(payload, fresh, path, chunks + 1)
+                    for string in fresh:
+                        strings.intern(string)
                     strings.take_pending()  # already on disk, not pending
                     chunks += 1
                     total += nevents
@@ -545,45 +559,65 @@ def make_trace_writer(
 # -- reading -----------------------------------------------------------------
 
 
-class _Cursor:
-    """Bounds-checked little helper over one chunk's payload."""
+def _read_strings(payload: bytes, strings: List[str], path: Path,
+                  chunk_no: int) -> int:
+    """Fold a chunk's string-table prefix into ``strings``.
 
-    __slots__ = ("view", "pos", "path", "chunk")
+    Returns the payload offset of the chunk's first event.  The commit
+    is all-or-nothing, so a quarantined chunk cannot leave the shared
+    table half-grown (later chunks decode against it).
+    """
+    fresh: List[str] = []
+    try:
+        (nstrings,) = _U32.unpack_from(payload, 0)
+        off = _U32.size
+        for _ in range(nstrings):
+            (slen,) = _U32.unpack_from(payload, off)
+            off += _U32.size
+            end = off + slen
+            if end > len(payload):
+                raise TraceFormatError(
+                    f"chunk {chunk_no}: truncated string table", path=path)
+            fresh.append(payload[off:end].decode("utf-8"))
+            off = end
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TraceFormatError(
+            f"chunk {chunk_no}: corrupt string table: {exc}", path=path,
+        ) from exc
+    strings.extend(fresh)
+    return off
 
-    def __init__(self, payload: bytes, path: Path, chunk: int) -> None:
-        self.view = payload
-        self.pos = 0
-        self.path = path
-        self.chunk = chunk
 
-    def take(self, fmt: struct.Struct):
-        try:
-            values = fmt.unpack_from(self.view, self.pos)
-        except struct.error as exc:
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-record ({exc})", path=self.path
-            ) from exc
-        self.pos += fmt.size
-        return values
+_new = object.__new__
+_setattr = object.__setattr__
+#: access record size by ``flags & 3``, flags byte included: the two
+#: optional fields are a 4-byte accum-op id and an 8-byte lock epoch
+_ACCESS_LEN = tuple(1 + _ACCESS.size + extra for extra in (0, 4, 8, 12))
 
-    def take_byte(self) -> int:
-        if self.pos >= len(self.view):
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-record", path=self.path
-            )
-        b = self.view[self.pos]
-        self.pos += 1
-        return b
 
-    def take_bytes(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.view):
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-string", path=self.path
-            )
-        raw = self.view[self.pos:end]
-        self.pos = end
-        return raw
+def _fields_are(cls, *names: str) -> None:
+    """Pin the field list the decoder fills in without ``__init__``.
+
+    Adding a field to one of these classes without teaching the decoder
+    then fails at import instead of yielding half-built objects.
+    """
+    if tuple(f.name for f in fields(cls)) != names:
+        raise TypeError(f"v2 decoder is out of date with {cls.__name__}")
+
+
+def _slot_setters(cls, *names: str) -> tuple:
+    _fields_are(cls, *names)
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
+_IV_SET = _slot_setters(Interval, "lo", "hi")
+_ACC_SET = _slot_setters(
+    MemoryAccess, "interval", "type", "debug", "origin", "seq", "flush_gen",
+    "accum_op", "excl_epoch")
+_fields_are(LocalEvent, "seq", "rank", "access", "region")
+_fields_are(RmaEvent, "seq", "rank", "op", "target", "wid", "origin_access",
+            "target_access", "origin_region", "target_region", "nbytes")
+_fields_are(SyncEvent, "seq", "rank", "kind", "wid")
 
 
 class TraceReader:
@@ -720,8 +754,12 @@ class TraceReader:
         self.complete = False
         self.tail_pending = False
         if self.format == FORMAT_V2:
-            return self._iter_v2()
-        return self._iter_v1()
+            chunks = self._chunks_v2(None)
+        else:
+            chunks = self._chunks_v1(None)
+        # flatten at C speed: no generator resume per event
+        return itertools.chain.from_iterable(
+            events for events, _cursor in chunks)
 
     def wire_stream(self) -> Optional["WireStream"]:
         """Raw-chunk access for the flat core's fused decode, if eligible.
@@ -827,10 +865,6 @@ class TraceReader:
         except OSError:
             return None
 
-    def _iter_v1(self) -> Iterator[TraceEvent]:
-        for events, _cursor in self._chunks_v1(None):
-            yield from events
-
     def _chunks_v1(self, start: Optional[dict]
                    ) -> Iterator[Tuple[List[TraceEvent], dict]]:
         from ..mpi.trace_io import _event_from_dict  # lazy: avoids a cycle
@@ -914,19 +948,16 @@ class TraceReader:
                 return True
             overlap = hay[-3:]
 
-    def _iter_v2(self) -> Iterator[TraceEvent]:
-        for events, _cursor in self._chunks_v2(None):
-            yield from events
-
     def _chunks_v2(self, start: Optional[dict]
                    ) -> Iterator[Tuple[List[TraceEvent], dict]]:
         header = self._header
-        access_table: List[AccessType] = header["access_table"]
-        sync_table: List[SyncKind] = header["sync_table"]
-        region_table: List[RegionKind] = header["region_table"]
         frame = struct.Struct("<III") if header["chunk_crc"] \
             else struct.Struct("<II")
         chain_extra = _CHAIN_BYTES if header["chunk_chain_stored"] else 0
+        # decoded DebugInfo / RegionInfo objects, shared for this pass
+        # (sound because the string table only grows)
+        debugs: Dict[int, DebugInfo] = {}
+        regions: Dict[int, RegionInfo] = {}
         if start is not None:
             strings = list(start["strings"])
             total = start["events_applied"]
@@ -1013,8 +1044,7 @@ class TraceReader:
                     try:
                         events = self._decode_chunk(
                             payload, nevents, chunk_no, strings,
-                            access_table, sync_table, region_table,
-                        )
+                            debugs, regions)
                     except TraceFormatError:
                         if self.strict:
                             raise
@@ -1079,90 +1109,159 @@ class TraceReader:
             self.events_lost = claimed_lost
 
     def _decode_chunk(
-        self, payload, nevents, chunk_no, strings,
-        access_table, sync_table, region_table,
+        self, payload: bytes, nevents: int, chunk_no: int,
+        strings: List[str], debugs: Dict[int, DebugInfo],
+        regions: Dict[int, RegionInfo],
     ) -> List[TraceEvent]:
-        cur = _Cursor(payload, self.path, chunk_no)
-        (nstrings,) = cur.take(_U32)
-        fresh: List[str] = []
-        for _ in range(nstrings):
-            (slen,) = cur.take(_U32)
-            try:
-                fresh.append(cur.take_bytes(slen).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: corrupt string table: {exc}",
-                    path=self.path,
-                ) from exc
-        # commit all-or-nothing so a quarantined chunk cannot leave the
-        # shared table half-grown (later chunks decode against it)
-        strings.extend(fresh)
+        """Decode one verified chunk payload into events.
 
-        def lookup(table, idx, what):
-            try:
-                return table[idx]
-            except IndexError:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: {what} id {idx} out of range",
-                    path=self.path,
-                ) from None
+        ``debugs`` and ``regions`` intern :class:`DebugInfo` per
+        ``(file id, line)`` and :class:`RegionInfo` per raw ``(kind,
+        alias)`` byte pair for the caller's pass; whole
+        :class:`MemoryAccess` objects are memoized per raw access
+        record for this chunk only, which bounds the memo by the chunk.
+        Objects are built by setting their fields directly, so every
+        check ``__init__`` would make is spelled out here instead.
+        """
+        path = self.path
+        header = self._header
+        access_table: List[AccessType] = header["access_table"]
+        sync_table: List[SyncKind] = header["sync_table"]
+        region_table: List[RegionKind] = header["region_table"]
+        pos = _read_strings(payload, strings, path, chunk_no)
+        new = _new
+        setattr_ = _setattr
+        u32_at = _U32.unpack_from
+        i64_at = _I64.unpack_from
+        access_at = _ACCESS.unpack_from
+        local_at = _LOCAL.unpack_from
+        rma_at = _RMA.unpack_from
+        sync_at = _SYNC.unpack_from
+        nacc = 1 + _ACCESS.size
+        nlocal = 1 + _LOCAL.size
+        nrma = 1 + _RMA.size
+        nsync = 1 + _SYNC.size
+        access_len = _ACCESS_LEN
+        set_lo, set_hi = _IV_SET
+        (set_iv, set_type, set_debug, set_origin, set_seq, set_flush,
+         set_accum, set_excl) = _ACC_SET
+        memo: Dict[bytes, MemoryAccess] = {}
+        memo_get = memo.get
+        debug_get = debugs.get
+        region_get = regions.get
 
-        def take_access() -> MemoryAccess:
-            flags = cur.take_byte()
-            lo, hi, tid, fid, line, origin, flush_gen = cur.take(_ACCESS)
-            accum = None
-            excl = None
+        def build_access(p: int, raw: bytes) -> MemoryAccess:
+            # a memo miss: ``raw`` is the record at ``p``, flags byte
+            # first.  A record cut short by the payload end cannot have
+            # hit the memo (its flags byte demands a longer key); the
+            # unpacks below reject it.
+            flags = raw[0]
+            lo, hi, tid, fid, line, origin, flush_gen = access_at(
+                payload, p + 1)
+            if not 0 <= lo < hi:
+                raise TraceFormatError(
+                    f"chunk {chunk_no}: empty, inverted or negative "
+                    f"interval [{lo}, {hi})", path=path)
+            q = p + nacc
+            accum = excl = None
             if flags & _FLAG_ACCUM:
-                (aid,) = cur.take(_U32)
-                accum = lookup(strings, aid, "string")
+                accum = strings[u32_at(payload, q)[0]]
+                q += 4
             if flags & _FLAG_EXCL:
-                (excl,) = cur.take(_I64)
-            return MemoryAccess(
-                Interval(lo, hi),
-                lookup(access_table, tid, "access type"),
-                DebugInfo(lookup(strings, fid, "string"), line),
-                origin, 0, flush_gen, accum, excl,
-            )
+                excl = i64_at(payload, q)[0]
+            dkey = fid << 32 | line
+            debug = debug_get(dkey)
+            if debug is None:
+                debug = debugs[dkey] = DebugInfo(strings[fid], line)
+            iv = new(Interval)
+            set_lo(iv, lo)
+            set_hi(iv, hi)
+            acc = new(MemoryAccess)
+            set_iv(acc, iv)
+            set_type(acc, access_table[tid])
+            set_debug(acc, debug)
+            set_origin(acc, origin)
+            set_seq(acc, 0)
+            set_flush(acc, flush_gen)
+            set_accum(acc, accum)
+            set_excl(acc, excl)
+            memo[raw] = acc
+            return acc
 
-        def take_region() -> RegionInfo:
-            kid = cur.take_byte()
-            rma = cur.take_byte()
-            return RegionInfo(lookup(region_table, kid, "region kind"),
-                              bool(rma))
+        def take_access(p: int) -> Tuple[MemoryAccess, int]:
+            end = p + access_len[payload[p] & 3]
+            raw = payload[p:end]
+            return memo_get(raw) or build_access(p, raw), end
+
+        def take_region(p: int) -> RegionInfo:
+            key = payload[p] << 8 | payload[p + 1]
+            info = region_get(key)
+            if info is None:
+                info = regions[key] = RegionInfo(
+                    region_table[payload[p]], bool(payload[p + 1]))
+            return info
 
         out: List[TraceEvent] = []
-        for _ in range(nevents):
-            tag = cur.take_byte()
-            if tag == _TAG_LOCAL:
-                seq, rank = cur.take(_LOCAL)
-                out.append(LocalEvent(seq, rank, take_access(), take_region()))
-            elif tag == _TAG_RMA:
-                seq, rank, target, wid = cur.take(_RMA)
-                (oid,) = cur.take(_U32)
-                (nbytes,) = cur.take(_I64)
-                origin_access = take_access()
-                target_access = take_access()
-                origin_region = take_region()
-                target_region = take_region()
-                out.append(RmaEvent(
-                    seq, rank, lookup(strings, oid, "string"), target, wid,
-                    origin_access, target_access,
-                    origin_region, target_region, nbytes,
-                ))
-            elif tag == _TAG_SYNC:
-                seq, rank, kid, wid = cur.take(_SYNC)
-                out.append(SyncEvent(
-                    seq, rank, lookup(sync_table, kid, "sync kind"), wid
-                ))
-            else:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: unknown event tag {tag}",
-                    path=self.path,
-                )
-        if cur.pos != len(cur.view):
+        append = out.append
+        try:
+            for _ in range(nevents):
+                tag = payload[pos]
+                if tag == _TAG_LOCAL:
+                    # locals are most events: take_access and
+                    # take_region are inlined on their hit paths
+                    seq, rank = local_at(payload, pos + 1)
+                    p = pos + nlocal
+                    pos = p + access_len[payload[p] & 3]
+                    raw = payload[p:pos]
+                    access = memo_get(raw) or build_access(p, raw)
+                    region = region_get(
+                        payload[pos] << 8 | payload[pos + 1]
+                    ) or take_region(pos)
+                    pos += 2
+                    event = new(LocalEvent)
+                    setattr_(event, "__dict__", {
+                        "seq": seq, "rank": rank, "access": access,
+                        "region": region})
+                elif tag == _TAG_RMA:
+                    seq, rank, target, wid = rma_at(payload, pos + 1)
+                    pos += nrma
+                    op = strings[u32_at(payload, pos)[0]]
+                    nbytes = i64_at(payload, pos + 4)[0]
+                    origin_access, pos = take_access(pos + 12)
+                    target_access, pos = take_access(pos)
+                    event = new(RmaEvent)
+                    setattr_(event, "__dict__", {
+                        "seq": seq, "rank": rank, "op": op,
+                        "target": target, "wid": wid,
+                        "origin_access": origin_access,
+                        "target_access": target_access,
+                        "origin_region": take_region(pos),
+                        "target_region": take_region(pos + 2),
+                        "nbytes": nbytes})
+                    pos += 4
+                elif tag == _TAG_SYNC:
+                    seq, rank, kid, wid = sync_at(payload, pos + 1)
+                    event = new(SyncEvent)
+                    setattr_(event, "__dict__", {
+                        "seq": seq, "rank": rank, "kind": sync_table[kid],
+                        "wid": wid})
+                    pos += nsync
+                else:
+                    raise TraceFormatError(
+                        f"chunk {chunk_no}: unknown event tag {tag}",
+                        path=path)
+                append(event)
+        except (IndexError, struct.error) as exc:
+            # a record running past the payload end, or an id past the
+            # end of its table
             raise TraceFormatError(
-                f"chunk {chunk_no}: {len(cur.view) - cur.pos} trailing bytes",
-                path=self.path,
+                f"chunk {chunk_no}: malformed event record at byte {pos} "
+                f"({exc})", path=path,
+            ) from exc
+        if pos != len(payload):
+            raise TraceFormatError(
+                f"chunk {chunk_no}: {len(payload) - pos} trailing bytes",
+                path=path,
             )
         return out
 
@@ -1201,6 +1300,9 @@ class WireStream:
         self.site_ids: Dict[int, int] = {}
         #: wire accum-op string id -> interned ACCUMS id
         self.accum_ids: Dict[int, int] = {}
+        #: 1-based number of the chunk last yielded (0 before the first),
+        #: so a consumer's errors can name it
+        self.chunk_no = 0
 
     def _bad(self, message: str) -> None:
         raise TraceFormatError(message, path=self.path)
@@ -1210,13 +1312,12 @@ class WireStream:
             else struct.Struct("<II")
         chain_extra = _CHAIN_BYTES if self.chunk_chain_stored else 0
         chain = self._chain_seed
-        u32 = _U32
         strings = self.strings
         total = 0
         chunk_no = 0
         with self.path.open("rb") as fh:
             fh.seek(len(MAGIC_V2))
-            (hlen,) = u32.unpack(fh.read(u32.size))
+            (hlen,) = _U32.unpack(fh.read(_U32.size))
             fh.seek(hlen, 1)
             while True:
                 tag = fh.read(4)
@@ -1247,26 +1348,10 @@ class WireStream:
                             f"chunk {chunk_no}: chain mismatch (trace "
                             f"prefix was rewritten)",
                             path=self.path, chunk=chunk_no)
-                    try:
-                        (nstrings,) = u32.unpack_from(payload, 0)
-                        off = u32.size
-                        for _ in range(nstrings):
-                            (slen,) = u32.unpack_from(payload, off)
-                            off += u32.size
-                            if off + slen > len(payload):
-                                self._bad(
-                                    f"chunk {chunk_no}: truncated string "
-                                    f"table"
-                                )
-                            strings.append(
-                                payload[off:off + slen].decode("utf-8"))
-                            off += slen
-                    except (struct.error, UnicodeDecodeError) as exc:
-                        raise TraceFormatError(
-                            f"chunk {chunk_no}: corrupt string table: {exc}",
-                            path=self.path,
-                        ) from exc
+                    off = _read_strings(payload, strings, self.path,
+                                        chunk_no)
                     total += nevents
+                    self.chunk_no = chunk_no
                     yield payload, off, nevents
                 elif tag == b"TEND":
                     raw = fh.read(_U64.size)

@@ -472,12 +472,14 @@ class Scheduler:
                 self._count("serve.jobs.failed", reason=str(stopped))
             return
         self.cache.put(job.trace_sha, job.detector, result.to_dict())
+        # index the chain before "done" is visible: a client that sees
+        # the job finish may resubmit a grown trace at once
+        self._retain_incremental_state(job, ckpt_dir)
         resumed = (result.checkpoint or {}).get("resumed") or []
         self._transition(job, "done", races=result.races,
                          events=result.events_total, wall_seconds=wall,
                          resumed=list(resumed))
         self._count("serve.jobs.completed")
-        self._retain_incremental_state(job, ckpt_dir)
 
     def _seed_ckpt_dir(self, job: Job, ckpt_dir: Path) -> bool:
         """Copy the prefix ancestor's final checkpoint into this job's dir.

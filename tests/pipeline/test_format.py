@@ -1,11 +1,16 @@
 """Round-trip and robustness tests for the repro-trace-v2 binary format."""
 
 import json
+import shutil
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.flatcore import FlatDetector
+from repro.faultinject import patch_chunk, rewrite_prefix
 from repro.intervals import AccessType, DebugInfo, Interval, MemoryAccess
 from repro.mpi import TraceFormatError, load_trace, save_trace
 from repro.mpi.memory import RegionInfo, RegionKind
@@ -16,7 +21,9 @@ from repro.pipeline import (
     BinaryTraceWriter,
     JsonTraceWriter,
     TraceReader,
+    analyze_trace,
     make_trace_writer,
+    record_app,
 )
 
 
@@ -144,7 +151,9 @@ class TestPropertyRoundtrip:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_arbitrary_events_roundtrip(self, tmp_path, events, chunk):
         path = _write(tmp_path / "t.bin", events, events_per_chunk=chunk)
-        assert list(TraceReader(path)) == events
+        decoded = list(TraceReader(path))
+        assert decoded == events
+        assert [repr(e) for e in decoded] == [repr(e) for e in events]
         path.unlink()
 
     @given(st.lists(EVENTS, min_size=1, max_size=25))
@@ -215,6 +224,134 @@ class TestCorruptInput:
         with pytest.raises(TraceFormatError) as err:
             list(TraceReader(path))
         assert "mismatch" in str(err.value)
+
+
+def _local(seq, lo, *, line=7):
+    return LocalEvent(
+        seq, 1, MemoryAccess(Interval(lo, lo + 8), AccessType.LOCAL_WRITE,
+                             DebugInfo("./a.c", line), 1, 0, 0, None, None),
+        RegionInfo(RegionKind.WINDOW, True))
+
+
+class TestDecodeSharing:
+    """The decoder shares equal immutable pieces; equality is unchanged."""
+
+    def test_identical_records_share_one_access_in_a_chunk(self, tmp_path):
+        events = [_local(1, 64), _local(2, 128), _local(3, 64)]
+        path = _write(tmp_path / "t.bin", events)
+        first, second, third = TraceReader(path)
+        assert first.access is third.access
+        assert first.access is not second.access
+        assert [first, second, third] == events
+
+    def test_access_memo_is_per_chunk(self, tmp_path):
+        events = [_local(1, 64), _local(2, 64)]
+        path = _write(tmp_path / "t.bin", events, events_per_chunk=1)
+        first, second = TraceReader(path)
+        assert first.access == second.access
+        assert first.access is not second.access
+
+    def test_one_debug_info_per_site_across_chunks(self, tmp_path):
+        events = [_local(i + 1, 64 * (i + 1)) for i in range(6)]
+        events.append(_local(7, 8, line=9))
+        path = _write(tmp_path / "t.bin", events, events_per_chunk=2)
+        decoded = list(TraceReader(path))
+        assert len({id(e.access.debug) for e in decoded[:6]}) == 1
+        assert decoded[6].access.debug is not decoded[0].access.debug
+        assert len({id(e.region) for e in decoded}) == 1
+        assert decoded == events
+
+    def test_resume_from_mid_trace_cursor_matches_full_pass(self, tmp_path):
+        events = exhaustive_events()
+        path = _write(tmp_path / "t.bin", events, events_per_chunk=7)
+        reader = TraceReader(path)
+        chunks = list(reader.iter_chunks())
+        full = [e for batch, _ in chunks for e in batch]
+        mid = len(chunks) // 2
+        cursor = chunks[mid - 1][1]
+        tail = [e for batch, _ in reader.iter_chunks(start=cursor)
+                for e in batch]
+        offset = cursor["events_applied"]
+        assert tail == full[offset:] == events[offset:]
+        assert [repr(e) for e in tail] == [repr(e) for e in events[offset:]]
+
+    @pytest.mark.parametrize("app,size", [
+        ("cfd", 4), ("histogram", 64), ("minivite", 256)])
+    def test_recorded_traces_decode_to_the_written_events(self, tmp_path,
+                                                          app, size):
+        events = record_app(app, size=size).trace_log.events
+        path = _write(tmp_path / "t.bin", events, events_per_chunk=512)
+        decoded = list(TraceReader(path))
+        assert decoded == events
+        assert [repr(e) for e in decoded] == [repr(e) for e in events]
+
+
+def _set_interval(payload, old, new):
+    """Rewrite one access record's ``(lo, hi)`` pair in place."""
+    at = payload.find(struct.pack("<qq", *old))
+    assert at > 0
+    payload[at:at + 16] = struct.pack("<qq", *new)
+
+
+class TestMalformedIntervals:
+    """Bad intervals are typed rejections naming the chunk, salvageable."""
+
+    EVENTS = [_local(i + 1, 64 * (i + 1)) for i in range(12)]
+
+    @pytest.mark.parametrize("bad", [(320, 320), (320, 200), (-8, 8)])
+    def test_strict_read_names_file_and_chunk(self, tmp_path, bad):
+        path = _write(tmp_path / "t.bin", self.EVENTS, events_per_chunk=4)
+        # event 5 (lo=320) is the first of chunk 2
+        patch_chunk(path, 2, lambda p: _set_interval(p, (320, 328), bad))
+        with pytest.raises(TraceFormatError) as err:
+            list(TraceReader(path))
+        msg = str(err.value)
+        assert str(path) in msg
+        assert "chunk 2" in msg and "interval" in msg
+        assert isinstance(err.value, ValueError)
+
+    def test_salvage_quarantines_the_chunk_exactly(self, tmp_path):
+        path = _write(tmp_path / "t.bin", self.EVENTS, events_per_chunk=4)
+        patch_chunk(path, 2, lambda p: _set_interval(p, (384, 392),
+                                                     (392, 384)))
+        reader = TraceReader(path, strict=False)
+        recovered = list(reader)
+        assert recovered == self.EVENTS[:4] + self.EVENTS[8:]
+        assert reader.salvage_report() == {
+            "quarantined_chunks": [2], "events_lost": 4, "truncated": False}
+
+
+class TestWireRejections:
+    """The fused wire path rejects malformed payloads with a typed error."""
+
+    def test_repaired_mutations_succeed_or_raise_trace_format_error(
+            self, tmp_path, minivite_trace, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_TIMELINE", "off")
+        monkeypatch.delenv("REPRO_WIRE", raising=False)
+        wire_chunks = []
+        ingest = FlatDetector.ingest_wire
+
+        def counting(self, payload, off, nevents, ctx, nranks):
+            wire_chunks.append(ctx.chunk_no)
+            return ingest(self, payload, off, nevents, ctx, nranks)
+
+        monkeypatch.setattr(FlatDetector, "ingest_wire", counting)
+        outcomes = {"ok": 0, "rejected": 0}
+        path = tmp_path / "mut.trace"
+        for seed in range(40):
+            shutil.copyfile(minivite_trace, path)
+            rewrite_prefix(path, chunk=1, count=2, seed=seed)
+            try:
+                with obs.scope(merge=False):
+                    analyze_trace(path)
+            except TraceFormatError as exc:
+                assert str(path) in str(exc)
+                assert "chunk " in str(exc)
+                outcomes["rejected"] += 1
+            else:
+                outcomes["ok"] += 1
+        assert wire_chunks, "the wire path never ran"
+        assert outcomes["ok"] and outcomes["rejected"]
 
 
 class TestV1Robustness:

@@ -14,9 +14,11 @@ from repro.faultinject import (
     chunk_index,
     corrupt_chunk_tag,
     flip_bytes,
+    patch_chunk,
     truncate_mid_chunk,
 )
 from repro.mpi.errors import TraceFormatError
+from repro.mpi.trace import LocalEvent
 from repro.pipeline import MAGIC_V2, TraceReader, analyze_trace
 
 
@@ -231,3 +233,54 @@ def test_open_salvage_reader_implies_salvage(rechunk, mv_trace):
     flip_bytes(path, chunk=last.chunk, seed=3)
     result = analyze_trace(TraceReader(path, strict=False), jobs=1)
     assert result.salvage["quarantined_chunks"] == [last.chunk]
+
+
+# -- semantically bad chunk (checksum and chain repaired) ---------------------
+
+
+def _invert_an_interval(path, chunk):
+    """Make one local access of ``chunk`` end where it starts."""
+    reader = TraceReader(path)
+    batch = list(reader.iter_chunks())[chunk - 1][0]
+    iv = next(e.access.interval for e in batch if isinstance(e, LocalEvent))
+
+    def invert(payload):
+        at = payload.find(struct.pack("<qq", iv.lo, iv.hi))
+        assert at > 0
+        payload[at:at + 16] = struct.pack("<qq", iv.lo, iv.lo)
+
+    patch_chunk(path, chunk, invert)
+
+
+def test_inverted_interval_is_rejected_naming_file_and_chunk(rechunk,
+                                                             mv_trace):
+    path = rechunk(mv_trace)
+    _invert_an_interval(path, 3)
+    with pytest.raises(TraceFormatError) as excinfo:
+        analyze_trace(path, jobs=1)
+    msg = str(excinfo.value)
+    assert path.name in msg
+    assert "chunk 3" in msg and "interval" in msg
+
+
+def test_salvage_quarantines_a_chunk_with_an_inverted_interval(rechunk,
+                                                               mv_trace):
+    path = rechunk(mv_trace)
+    index = chunk_index(path)
+    total = sum(info.nevents for info in index)
+    last = index[-1]  # last chunk: nothing after it to shadow
+    _invert_an_interval(path, last.chunk)
+
+    reader = TraceReader(path, strict=False)
+    assert sum(1 for _ in reader) == total - last.nevents
+    assert reader.salvage_report() == {
+        "quarantined_chunks": [last.chunk],
+        "events_lost": last.nevents,
+        "truncated": False,
+    }
+    serial = analyze_trace(path, jobs=1, salvage=True)
+    sharded = analyze_trace(path, jobs=2, salvage=True)
+    for result in (serial, sharded):
+        assert result.verdicts == serial.verdicts
+        assert result.salvage["quarantined_chunks"] == [last.chunk]
+        assert result.salvage["events_lost"] == last.nevents
